@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test short race chaos fuzz bench bench-pr3 bench-fault bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-figures alloc-guard golden clean
+.PHONY: check build vet lint test short race chaos fuzz bench bench-figures alloc-guard golden clean
 
 check: lint build alloc-guard race chaos
 
@@ -20,8 +20,6 @@ vet:
 # map-order output, float accumulation order, discarded codec/render errors,
 # naive-spec mirroring, and lite vet passes. Zero findings required.
 # Suppress an intentional exception with `//lint:allow <analyzer> <reason>`.
-# The opt-in struct-padding report (not part of the gate, since field order
-# can be wire-visible) is: $(GO) run ./cmd/simlint -only fieldalign ./...
 lint: vet
 	$(GO) run ./cmd/simlint ./...
 
@@ -62,76 +60,13 @@ fuzz:
 	$(GO) test ./internal/predict -fuzz FuzzP2Quantile -fuzztime 30s
 	$(GO) test ./internal/durable -fuzz FuzzWALRecord -fuzztime 30s
 
-# Scheduler-scaling benchmarks (PR 2): the Schedule/Simulate/Replicate trio
-# at 10k/100k/500k jobs, one timed run each, joined against the committed
-# pre-index baseline into BENCH_PR2.json (see EXPERIMENTS.md).
+# The repository's end-to-end benchmark (perfbench/, see its README): one
+# 25 s run of each workload, one JSON line of end-to-end metrics each. For
+# per-layer metrics or other seeds, run perfbench/run.sh directly.
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(Schedule|Simulate|Replicate)$$' \
-		-benchtime 1x -timeout 2h . | tee bench/last_run.txt
-	$(GO) run ./cmd/benchjson -label post-index \
-		-baseline bench/baseline_pr2.json < bench/last_run.txt > BENCH_PR2.json
-
-# Columnar-engine benchmarks (PR 3): Characterize at 10k/100k jobs plus the
-# PR 2 trio, joined against the committed pre-columnar baseline into
-# BENCH_PR3.json (see bench/README.md).
-bench-pr3:
-	$(GO) test -run '^$$' -bench '^Benchmark(Characterize|Schedule|Simulate|Replicate)$$' \
-		-benchtime 1x -timeout 2h . | tee bench/last_run_pr3.txt
-	$(GO) run ./cmd/benchjson -label post-columnar \
-		-baseline bench/baseline_pr3.json < bench/last_run_pr3.txt > BENCH_PR3.json
-
-# Fault-path benchmarks (PR 4): the empty-plan guard — BenchmarkSimulate and
-# BenchmarkSchedule must hold their PR 3 numbers now that every event passes
-# through the fault-aware scheduler — plus BenchmarkSimulateFaults, which
-# prices the machinery when a fault plan is live. Joined against the
-# committed PR 3 baseline into BENCH_PR4.json (fault runs have no baseline
-# row and report absolute numbers only).
-bench-fault:
-	$(GO) test -run '^$$' -bench '^Benchmark(Simulate|Schedule|SimulateFaults)$$' 		-benchtime 1x -timeout 2h . | tee bench/last_run_pr4.txt
-	$(GO) run ./cmd/benchjson -label post-faults 		-baseline bench/baseline_pr3.json < bench/last_run_pr4.txt > BENCH_PR4.json
-
-# Event-queue benchmarks (PR 6): BenchmarkSimulate now rides the calendar
-# queue — its speedup column against the PR 3 (heap-era) baseline is the
-# acceptance number — plus BenchmarkSimulateSharded sweeping shard counts
-# 1/2/4/8 at 500k and 5M jobs (no baseline rows; absolute numbers plus the
-# shard-imbalance metric).
-bench-pr6:
-	$(GO) test -run '^$$' -bench '^Benchmark(Simulate|Schedule|SimulateSharded)$$' 		-benchtime 1x -timeout 2h . | tee bench/last_run_pr6.txt
-	$(GO) run ./cmd/benchjson -label post-calendar-queue 		-baseline bench/baseline_pr3.json < bench/last_run_pr6.txt > BENCH_PR6.json
-
-# Prediction-scheduling benchmarks (PR 7): BenchmarkPredictSched prices the
-# forecaster-driven backfill on the contended population; BenchmarkSchedule
-# and BenchmarkSimulate rerun with prediction disabled, and their speedup
-# columns against the PR 6 run guard the nil-predictor default path. Joined
-# against BENCH_PR6.json into BENCH_PR7.json.
-bench-pr7:
-	$(GO) test -run '^$$' -bench '^Benchmark(Simulate|Schedule|PredictSched)$$' 		-benchtime 1x -timeout 2h . | tee bench/last_run_pr7.txt
-	$(GO) run ./cmd/benchjson -label post-predictsched 		-baseline BENCH_PR6.json < bench/last_run_pr7.txt > BENCH_PR7.json
-
-# Streaming-ingest benchmarks (PR 8): the interleaved append+query workload
-# on the segmented store vs. the committed rebuild-per-batch numbers
-# (bench/baseline_pr8.json carries the rebuild rows renamed to the streaming
-# names so benchjson joins them — the speedup column at jobs=100k is the
-# acceptance number, bar ≥10x), plus BenchmarkCharacterize re-run to guard
-# the batch path against the same file's PR 3 rows (within 1.05x).
-# BenchmarkStreamingIngestRebuild rides along unjoined so the baseline can
-# be reproduced on any machine.
-bench-pr8:
-	$(GO) test -run '^$$' -bench '^Benchmark(StreamingIngest|StreamingIngestRebuild|Characterize)$$' \
-		-benchtime 1x -timeout 2h . | tee bench/last_run_pr8.txt
-	$(GO) run ./cmd/benchjson -label post-segstore \
-		-baseline bench/baseline_pr8.json < bench/last_run_pr8.txt > BENCH_PR8.json
-
-# Durability benchmarks (PR 9): BenchmarkDurableIngest prices crash safety
-# on the ingest path (wal=off / wal=sync / raw in-memory; the acceptance bar
-# is wal=sync within 1.5x of wal=off), BenchmarkDurableRecover times a cold
-# Open from a pure WAL replay vs. a fresh snapshot, and the PR 8 streaming
-# rows re-run to guard the in-process path against bench/baseline_pr8.json.
-bench-pr9:
-	$(GO) test -run '^$$' -bench '^Benchmark(DurableIngest|DurableRecover|StreamingIngest)$$' \
-		-benchtime 1x -timeout 2h . | tee bench/last_run_pr9.txt
-	$(GO) run ./cmd/benchjson -label post-durability \
-		-baseline bench/baseline_pr8.json < bench/last_run_pr9.txt > BENCH_PR9.json
+	for w in pipeline contended ingest; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 25 || exit 1; \
+	done
 
 # Allocation-count guards (PR 6, part of `make check`): the calendar queue's
 # steady-state zero-allocation property and the end-to-end per-job allocation
@@ -140,7 +75,7 @@ alloc-guard:
 	$(GO) test ./internal/slurm -count=1 		-run 'TestCalQueueSteadyStateAllocFree|TestHeapSpecBoxesPerEvent|TestSimulatePerJobAllocBudget'
 
 # Figure/experiment benchmarks: regenerate every paper table and figure
-# metric (the pre-PR2 `make bench`).
+# metric, plus the root bench_*_test.go micro-benchmarks.
 bench-figures:
 	$(GO) test -bench . -benchmem -run '^$$' .
 

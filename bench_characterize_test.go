@@ -1,10 +1,7 @@
-// Characterization-scaling benchmarks (PR 3): BenchmarkCharacterize times
-// the full figure suite (core.Characterize, Figs. 3-17) at 10k/100k-job
-// scale. `make bench` runs this next to the PR 2 scheduler trio and emits
-// BENCH_PR3.json (via cmd/benchjson) with a speedup column against the
-// committed pre-columnar baseline, so the shared-column index and the
-// parallel figure fan-out carry a measured claim rather than an asserted
-// one.
+// Characterization-scaling benchmarks: BenchmarkCharacterize times the
+// full figure suite (core.Characterize, Figs. 3-17) at 10k/100k-job scale,
+// column build included. The end-to-end benchmark (perfbench/) measures the
+// same path as core.characterize_ms; run this one by name to isolate it.
 package repro
 
 import (

@@ -1,9 +1,8 @@
-// Scheduler-scaling benchmarks (PR 2): Benchmark{Schedule,Simulate,Replicate}
-// time the discrete-event hot path at 10k/100k/500k-job scale. `make bench`
-// runs exactly this trio and emits BENCH_PR2.json (via cmd/benchjson) with a
-// speedup column against the committed pre-index baseline, so the free-
-// capacity index and the incremental schedule() loop carry a measured claim
-// rather than an asserted one.
+// Scheduler-scaling benchmarks: Benchmark{Schedule,Simulate,Replicate} time
+// the discrete-event hot path at 10k/100k/500k-job scale. Run them by name
+// (`-benchtime 1x`; the 500k points take minutes); the end-to-end
+// benchmark (perfbench/) covers the scheduler through its contended
+// workload.
 package repro
 
 import (
@@ -86,8 +85,8 @@ func schedPopulation(b *testing.B, jobs int) *schedPop {
 // region. Building (and caching) a multi-hundred-MB population leaves the
 // pacer with a swollen heap goal and unpaid assist debt; without this the
 // first timed run after a build can pay several multiples of its real cost
-// in GC assists, which made combined `make bench-pr6` runs report 3-4x the
-// isolated-run time for the same benchmark.
+// in GC assists, which made combined runs of several benchmarks report 3-4x
+// the isolated-run time for the same benchmark.
 func settleHeap(b *testing.B) {
 	b.Helper()
 	runtime.GC()
@@ -131,8 +130,8 @@ func BenchmarkSimulate(b *testing.B) {
 // BenchmarkSimulateFaults times the same end-to-end run with the full fault
 // machinery live (node crashes, drains, per-GPU fatals, requeue/backoff), so
 // the cost of failure-aware scheduling is a measured number. There is no
-// pre-fault baseline for this name; `make bench-fault` reports it alongside
-// the empty-plan guard.
+// pre-fault baseline for this name; compare it with BenchmarkSimulate in
+// the same run, the empty-plan guard.
 func BenchmarkSimulateFaults(b *testing.B) {
 	for _, sz := range schedSizes {
 		b.Run(sz.name, func(b *testing.B) {
@@ -193,8 +192,8 @@ func BenchmarkSchedule(b *testing.B) {
 // queue and the predictor's estimate/shadow/refinement state is exercised on
 // every reservation. Compare against BenchmarkSchedule in the same run: that
 // benchmark is the conservative fence on identical inputs, so the delta IS
-// the prediction overhead. `make bench-pr7` also reruns the PR 2 trio, whose
-// unchanged numbers guard the disabled path (nil predictor, zero overhead).
+// the prediction overhead. The disabled path (nil predictor, zero overhead)
+// is guarded by perfbench's contended workload, which runs prediction off.
 func BenchmarkPredictSched(b *testing.B) {
 	for _, sz := range schedSizes {
 		b.Run(sz.name, func(b *testing.B) {

@@ -1,13 +1,15 @@
-// Streaming-ingest benchmarks (PR 8): BenchmarkStreamingIngest times the
+// Streaming-ingest benchmarks: BenchmarkStreamingIngest times the
 // interleaved append+query workload — batches of jobs arrive, and after
 // every batch a live wait-statistics query is answered — on the segmented
 // store, where sealed segments keep their cached sorted runs and a query
 // pays one tail sort plus a two-way merge. BenchmarkStreamingIngestRebuild
-// is the same workload on the pre-PR8 path: each batch appends into a
+// is the same workload without the store: each batch appends into a
 // Dataset and invalidates the columnar memo, so every query rebuilds and
-// re-sorts from scratch. `make bench-pr8` joins the segmented rows against
-// the committed rebuild baseline (bench/baseline_pr8.json) into
-// BENCH_PR8.json; the acceptance bar is ≥10x at jobs=100k.
+// re-sorts from scratch. The acceptance bar is ≥10x at jobs=100k; this pair
+// is its only measure (perfbench/README.md, "ROADMAP item 1's legacy
+// bars"). Run with
+//
+//	go test -run '^$' -bench 'StreamingIngest(Rebuild)?$' -benchtime 1x -count 5 .
 package repro
 
 import (
@@ -56,7 +58,7 @@ func BenchmarkStreamingIngest(b *testing.B) {
 						hi = len(ds.Jobs)
 					}
 					st.AppendBatch(ds.Jobs[lo:hi])
-					fp += streamQueryFingerprint(core.WaitsSeg(st.Snapshot(), 1))
+					fp += streamQueryFingerprint(core.Waits(st.Snapshot().Cols))
 				}
 			}
 			b.ReportMetric(fp, "query-fingerprint")
@@ -68,8 +70,7 @@ func BenchmarkStreamingIngest(b *testing.B) {
 // BenchmarkStreamingIngestSegSweep sweeps the tail seal threshold at the
 // 100k point — the segment-size sensitivity study in EXPERIMENTS.md. Small
 // segments seal (and cascade-merge) often; huge segments degenerate toward
-// sorting the whole store on every query. Not part of bench-pr8; run it by
-// name.
+// sorting the whole store on every query. Run it by name.
 func BenchmarkStreamingIngestSegSweep(b *testing.B) {
 	ds := charDataset(b, 100_000)
 	for _, segJobs := range []int{512, 2048, 4096, 16384, 65536} {
@@ -84,7 +85,7 @@ func BenchmarkStreamingIngestSegSweep(b *testing.B) {
 						hi = len(ds.Jobs)
 					}
 					st.AppendBatch(ds.Jobs[lo:hi])
-					fp += streamQueryFingerprint(core.WaitsSeg(st.Snapshot(), 1))
+					fp += streamQueryFingerprint(core.Waits(st.Snapshot().Cols))
 				}
 			}
 			b.ReportMetric(fp, "query-fingerprint")
@@ -93,10 +94,9 @@ func BenchmarkStreamingIngestSegSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamingIngestRebuild is the pre-PR8 baseline for the same
+// BenchmarkStreamingIngestRebuild is the rebuild baseline for the same
 // workload: Dataset.Add invalidates the memo, so every query pays a full
-// columnar rebuild and re-sort. Committed as bench/baseline_pr8.json; kept
-// runnable so the comparison can be reproduced on any machine.
+// columnar rebuild and re-sort.
 func BenchmarkStreamingIngestRebuild(b *testing.B) {
 	for _, sz := range streamSizes {
 		b.Run(sz.name, func(b *testing.B) {
@@ -114,7 +114,7 @@ func BenchmarkStreamingIngestRebuild(b *testing.B) {
 					for k := lo; k < hi; k++ {
 						acc.Add(ds.Jobs[k])
 					}
-					fp += streamQueryFingerprint(core.WaitsCols(acc.Columns()))
+					fp += streamQueryFingerprint(core.Waits(acc.Columns()))
 				}
 			}
 			b.ReportMetric(fp, "query-fingerprint")

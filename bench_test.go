@@ -48,7 +48,7 @@ func benchDataset(b *testing.B) ([]workload.JobSpec, *trace.Dataset, []core.User
 		}
 		benchData.specs = g.GenerateSpecs()
 		benchData.ds = g.BuildDataset(benchData.specs)
-		benchData.users = core.AggregateUsers(benchData.ds)
+		benchData.users = core.AggregateUsers(benchData.ds.Columns())
 	})
 	return benchData.specs, benchData.ds, benchData.users
 }
@@ -71,7 +71,7 @@ func BenchmarkFig3aRuntimes(b *testing.B) {
 	b.ResetTimer()
 	var r core.RuntimeResult
 	for i := 0; i < b.N; i++ {
-		r = core.Runtimes(ds)
+		r = core.Runtimes(ds.Columns())
 	}
 	b.ReportMetric(r.GPU.P50, "gpu-run-median-min(paper:30)")
 	b.ReportMetric(r.CPU.P50, "cpu-run-median-min(paper:8)")
@@ -82,7 +82,7 @@ func BenchmarkFig3bQueueWait(b *testing.B) {
 	b.ResetTimer()
 	var r core.WaitResult
 	for i := 0; i < b.N; i++ {
-		r = core.Waits(ds)
+		r = core.Waits(ds.Columns())
 	}
 	b.ReportMetric(r.GPUWaitUnder1MinFrac*100, "gpu-wait-under-1min-pct(paper:70)")
 	b.ReportMetric(r.GPUWaitPctUnder2Frac*100, "gpu-wait-under-2pct-service(paper:>50)")
@@ -95,7 +95,7 @@ func BenchmarkFig4aUtilization(b *testing.B) {
 	b.ResetTimer()
 	var r core.UtilizationResult
 	for i := 0; i < b.N; i++ {
-		r = core.Utilization(ds)
+		r = core.Utilization(ds.Columns())
 	}
 	b.ReportMetric(r.SM.P50, "sm-median-pct(paper:16)")
 	b.ReportMetric(r.Mem.P50, "mem-median-pct(paper:2)")
@@ -108,7 +108,7 @@ func BenchmarkFig4bPCIe(b *testing.B) {
 	b.ResetTimer()
 	var r core.PCIeResult
 	for i := 0; i < b.N; i++ {
-		r = core.PCIe(ds)
+		r = core.PCIe(ds.Columns())
 	}
 	b.ReportMetric(r.TxUniformKS, "tx-uniform-ks(paper:~0)")
 	b.ReportMetric(r.RxUniformKS, "rx-uniform-ks(paper:~0)")
@@ -121,7 +121,7 @@ func BenchmarkFig5ByInterface(b *testing.B) {
 	b.ResetTimer()
 	var r core.InterfaceResult
 	for i := 0; i < b.N; i++ {
-		r = core.ByInterface(ds)
+		r = core.ByInterface(ds.Columns())
 	}
 	b.ReportMetric(r.SM[trace.Other].P50, "other-sm-median")
 	b.ReportMetric(r.SM[trace.Interactive].P50, "interactive-sm-median")
@@ -134,7 +134,7 @@ func BenchmarkFig6aActiveTime(b *testing.B) {
 	b.ResetTimer()
 	var r core.PhaseResult
 	for i := 0; i < b.N; i++ {
-		r = core.Phases(ds)
+		r = core.Phases(ds.Columns())
 	}
 	b.ReportMetric(r.ActiveTimePct.P50, "active-time-median-pct(paper:84)")
 	b.ReportMetric(r.ActiveTimePct.P25, "active-time-p25-pct(paper:14)")
@@ -145,7 +145,7 @@ func BenchmarkFig6bIntervalCoV(b *testing.B) {
 	b.ResetTimer()
 	var r core.PhaseResult
 	for i := 0; i < b.N; i++ {
-		r = core.Phases(ds)
+		r = core.Phases(ds.Columns())
 	}
 	b.ReportMetric(r.IdleCoV.P50, "idle-cov-median-pct(paper:126)")
 	b.ReportMetric(r.ActiveCoVLen.P50, "active-cov-median-pct(paper:169)")
@@ -158,7 +158,7 @@ func BenchmarkFig7aActiveCoV(b *testing.B) {
 	b.ResetTimer()
 	var r core.ActiveVariabilityResult
 	for i := 0; i < b.N; i++ {
-		r = core.ActiveVariability(ds)
+		r = core.ActiveVariability(ds.Columns())
 	}
 	b.ReportMetric(r.SMCoV.P50, "sm-cov-median-pct(paper:14)")
 	b.ReportMetric(r.MemCoV.P50, "mem-cov-median-pct(paper:14.6)")
@@ -170,7 +170,7 @@ func BenchmarkFig7bBottleneckRadar(b *testing.B) {
 	b.ResetTimer()
 	var r core.BottleneckResult
 	for i := 0; i < b.N; i++ {
-		r = core.Bottlenecks(ds)
+		r = core.Bottlenecks(ds.Columns())
 	}
 	b.ReportMetric(r.SingleFrac[metrics.SMUtil]*100, "sm-bottleneck-pct(paper:22)")
 	b.ReportMetric(r.SingleFrac[metrics.MemUtil]*100, "mem-bottleneck-pct(paper:~0)")
@@ -183,7 +183,7 @@ func BenchmarkFig8aSingleBottleneck(b *testing.B) {
 	b.ResetTimer()
 	var r core.BottleneckResult
 	for i := 0; i < b.N; i++ {
-		r = core.Bottlenecks(ds)
+		r = core.Bottlenecks(ds.Columns())
 	}
 	b.ReportMetric(r.SingleFrac[metrics.PCIeRx]*100, "rx-bottleneck-pct")
 	b.ReportMetric(r.SingleFrac[metrics.PCIeTx]*100, "tx-bottleneck-pct")
@@ -194,7 +194,7 @@ func BenchmarkFig8bPairBottleneck(b *testing.B) {
 	b.ResetTimer()
 	var r core.BottleneckResult
 	for i := 0; i < b.N; i++ {
-		r = core.Bottlenecks(ds)
+		r = core.Bottlenecks(ds.Columns())
 	}
 	pair := [2]metrics.Metric{metrics.SMUtil, metrics.PCIeRx}
 	b.ReportMetric(r.PairFrac[pair]*100, "sm+rx-pct(paper:~9)")
@@ -208,7 +208,7 @@ func BenchmarkFig9aPower(b *testing.B) {
 	b.ResetTimer()
 	var r core.PowerResult
 	for i := 0; i < b.N; i++ {
-		r = core.Power(ds)
+		r = core.Power(ds.Columns())
 	}
 	b.ReportMetric(r.Avg.P50, "avg-power-median-w(paper:45)")
 	b.ReportMetric(r.Max.P50, "max-power-median-w(paper:87)")
@@ -289,7 +289,7 @@ func BenchmarkFig13GPUCounts(b *testing.B) {
 	b.ResetTimer()
 	var r core.GPUCountResult
 	for i := 0; i < b.N; i++ {
-		r = core.GPUCounts(ds)
+		r = core.GPUCounts(ds.Columns())
 	}
 	b.ReportMetric(r.SingleGPUFrac*100, "single-gpu-pct(paper:84)")
 	b.ReportMetric(r.MultiGPUHourShare*100, "multi-hour-share-pct(paper:50)")
@@ -300,7 +300,7 @@ func BenchmarkMultiGPUUsers(b *testing.B) {
 	b.ResetTimer()
 	var r core.ConcentrationResult
 	for i := 0; i < b.N; i++ {
-		r = core.Concentration(ds)
+		r = core.Concentration(ds.Columns())
 	}
 	b.ReportMetric(r.UsersWithMultiFrac*100, "users-multi-pct(paper:60)")
 	b.ReportMetric(r.UsersWith9Frac*100, "users-9plus-pct(paper:5.2)")
@@ -313,7 +313,7 @@ func BenchmarkFig14MultiGPU(b *testing.B) {
 	b.ResetTimer()
 	var r core.MultiGPUResult
 	for i := 0; i < b.N; i++ {
-		r = core.MultiGPU(ds)
+		r = core.MultiGPU(ds.Columns())
 	}
 	b.ReportMetric(r.HalfIdleJobFrac*100, "half-idle-pct(paper:~40)")
 	b.ReportMetric(r.CoVActiveGPUs[0].P50, "active-sm-cov-median(paper:low)")
@@ -326,7 +326,7 @@ func BenchmarkFig15Lifecycle(b *testing.B) {
 	b.ResetTimer()
 	var r core.LifecycleResult
 	for i := 0; i < b.N; i++ {
-		r = core.Lifecycle(ds)
+		r = core.Lifecycle(ds.Columns())
 	}
 	b.ReportMetric(r.JobShare[trace.Mature]*100, "mature-job-pct(paper:60)")
 	b.ReportMetric(r.HourShare[trace.Exploratory]*100, "expl-hour-pct(paper:34)")
@@ -338,7 +338,7 @@ func BenchmarkFig16CategoryBoxes(b *testing.B) {
 	b.ResetTimer()
 	var r core.LifecycleResult
 	for i := 0; i < b.N; i++ {
-		r = core.Lifecycle(ds)
+		r = core.Lifecycle(ds.Columns())
 	}
 	b.ReportMetric(r.Boxes[trace.Mature][0].Median, "mature-sm-median(paper:21)")
 	b.ReportMetric(r.Boxes[trace.IDE][0].Median, "ide-sm-median(paper:0)")
@@ -349,7 +349,7 @@ func BenchmarkFig17UserMix(b *testing.B) {
 	b.ResetTimer()
 	var r core.UserMixResult
 	for i := 0; i < b.N; i++ {
-		r = core.UserMix(ds)
+		r = core.UserMix(ds.Columns())
 	}
 	b.ReportMetric(r.UsersUnder40PctMatureJobs*100, "users-under40-mature-pct(paper:>50)")
 }
@@ -359,7 +359,7 @@ func BenchmarkUserConcentration(b *testing.B) {
 	b.ResetTimer()
 	var r core.ConcentrationResult
 	for i := 0; i < b.N; i++ {
-		r = core.Concentration(ds)
+		r = core.Concentration(ds.Columns())
 	}
 	b.ReportMetric(r.Top5PctShare*100, "top5-share-pct(paper:44)")
 	b.ReportMetric(r.Top20PctShare*100, "top20-share-pct(paper:83.2)")
@@ -566,7 +566,7 @@ func BenchmarkAblationIIDProfiles(b *testing.B) {
 	b.ResetTimer()
 	var r core.PhaseResult
 	for i := 0; i < b.N; i++ {
-		r = core.Phases(ds)
+		r = core.Phases(ds.Columns())
 	}
 	b.ReportMetric(r.ActiveTimePct.P50, "flat-active-median-pct(structured:~84)")
 	b.ReportMetric(float64(r.IdleCoV.N), "jobs-with-idle-intervals(structured:many)")
@@ -672,7 +672,7 @@ func BenchmarkAblationNoIdleGPUs(b *testing.B) {
 	b.ResetTimer()
 	var r core.MultiGPUResult
 	for i := 0; i < b.N; i++ {
-		r = core.MultiGPU(ds)
+		r = core.MultiGPU(ds.Columns())
 	}
 	b.ReportMetric(r.HalfIdleJobFrac*100, "half-idle-pct(with-pathology:~40)")
 	b.ReportMetric(r.CoVAllGPUs[0].P75, "all-gpu-sm-cov-p75(with-pathology:high)")
@@ -694,7 +694,7 @@ func BenchmarkAblationPowerModel(b *testing.B) {
 	b.ResetTimer()
 	var r core.PowerResult
 	for i := 0; i < b.N; i++ {
-		r = core.Power(ds)
+		r = core.Power(ds.Columns())
 	}
 	b.ReportMetric(r.Avg.P50, "linear-avg-power-median-w(affine:~45)")
 	// The idle floor is most visible at the quartile: low-utilization jobs

@@ -112,7 +112,7 @@ func TestServerIngestQuery(t *testing.T) {
 
 	var sum summaryResponse
 	getJSON(t, ts.URL+"/v1/summary", &sum)
-	cols := trace.BuildColumns(ds)
+	cols := ds.Columns()
 	if sum.GPUJobs != len(cols.GPU) || sum.CPUJobs != len(cols.CPU) {
 		t.Fatalf("summary populations %d/%d, want %d/%d", sum.GPUJobs, sum.CPUJobs, len(cols.GPU), len(cols.CPU))
 	}
@@ -542,7 +542,7 @@ func TestServerConcurrentIngestQuery(t *testing.T) {
 		t.Fatalf("store has %d jobs, want %d", srv.store.Seg().Len(), len(ds.Jobs))
 	}
 	sum := srv.store.Seg().Summary()
-	cols := trace.BuildColumns(ds)
+	cols := ds.Columns()
 	if sum.GPUJobs != len(cols.GPU) || sum.CPUJobs != len(cols.CPU) || sum.MultiGPU != len(cols.Multi) {
 		t.Fatalf("populations %d/%d/%d, want %d/%d/%d",
 			sum.GPUJobs, sum.CPUJobs, sum.MultiGPU, len(cols.GPU), len(cols.CPU), len(cols.Multi))

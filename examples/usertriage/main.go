@@ -28,11 +28,11 @@ func main() {
 		log.Fatal(err)
 	}
 	ds := gen.BuildDataset(gen.GenerateSpecs())
-	users := core.AggregateUsers(ds)
+	users := core.AggregateUsers(ds.Columns())
 	byUser := ds.ByUser()
 
 	// Population overview (§IV).
-	conc := core.Concentration(ds)
+	conc := core.Concentration(ds.Columns())
 	fmt.Printf("%d users; top 5%% submit %s of jobs, top 20%% submit %s (Gini %.2f)\n\n",
 		conc.Users, report.Pct(conc.Top5PctShare), report.Pct(conc.Top20PctShare), conc.Gini)
 

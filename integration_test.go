@@ -129,8 +129,8 @@ func TestEndToEndSimulationPath(t *testing.T) {
 
 	// The two paths must agree on the utilization story (sampling error and
 	// queueing differences allowed).
-	a := core.Utilization(analytic)
-	s := core.Utilization(simDS)
+	a := core.Utilization(analytic.Columns())
+	s := core.Utilization(simDS.Columns())
 	if math.Abs(a.SM.P50-s.SM.P50) > 3 {
 		t.Fatalf("paths disagree on SM median: analytic %v vs simulated %v", a.SM.P50, s.SM.P50)
 	}
@@ -145,8 +145,8 @@ func TestEndToEndSimulationPath(t *testing.T) {
 
 	// Lifecycle classification identical across paths (it only reads
 	// scheduler-side fields).
-	la := core.Lifecycle(analytic)
-	ls := core.Lifecycle(simDS)
+	la := core.Lifecycle(analytic.Columns())
+	ls := core.Lifecycle(simDS.Columns())
 	for c := trace.Category(0); c < trace.NumCategories; c++ {
 		if math.Abs(la.JobShare[c]-ls.JobShare[c]) > 1e-9 {
 			t.Fatalf("category %v share differs across paths", c)

@@ -320,7 +320,7 @@ func TestSegmentSeries(t *testing.T) {
 func TestSizeClass(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 8: 2, 9: 3, 32: 3}
 	for g, want := range cases {
-		if got := SizeClass(g); got != want {
+		if got := trace.SizeClass(g); got != want {
 			t.Errorf("SizeClass(%d) = %d, want %d", g, got, want)
 		}
 	}

@@ -18,12 +18,9 @@ type HostCPUResult struct {
 	GPUJobsUnder50Frac float64
 }
 
-// HostCPU computes the host-CPU utilization comparison.
-func HostCPU(ds *trace.Dataset) HostCPUResult { return HostCPUCols(ds.Columns()) }
-
-// HostCPUCols computes the comparison from the host-CPU columns; the GPU
+// HostCPU computes the comparison from the host-CPU columns; the GPU
 // column's cached sort serves both the CDF and the under-50 % fraction.
-func HostCPUCols(c *trace.Columns) HostCPUResult {
+func HostCPU(c *trace.Columns) HostCPUResult {
 	return HostCPUResult{
 		GPUJobs:            colCDF(c.HostCPU),
 		CPUJobs:            colCDF(c.CPUHostCPU),

@@ -23,11 +23,8 @@ type LifecycleResult struct {
 	Total int
 }
 
-// Lifecycle computes Figs. 15–16 by classifying every GPU job.
-func Lifecycle(ds *trace.Dataset) LifecycleResult { return LifecycleCols(ds.Columns()) }
-
-// LifecycleCols computes Figs. 15–16 over the columnar GPU population.
-func LifecycleCols(c *trace.Columns) LifecycleResult {
+// Lifecycle computes Figs. 15–16 over the columnar GPU population.
+func Lifecycle(c *trace.Columns) LifecycleResult {
 	jobs := c.GPU
 	b := lifecycle.Account(jobs)
 	groups := lifecycle.GroupByCategory(jobs)
@@ -69,11 +66,8 @@ type UserMixResult struct {
 	UsersOver60PctNonMatureHours float64
 }
 
-// UserMix computes Fig. 17.
-func UserMix(ds *trace.Dataset) UserMixResult { return UserMixCols(ds.Columns()) }
-
-// UserMixCols computes Fig. 17 from the per-user row index.
-func UserMixCols(c *trace.Columns) UserMixResult {
+// UserMix computes Fig. 17 from the per-user row index.
+func UserMix(c *trace.Columns) UserMixResult {
 	hourVals := c.GPUHours.Values()
 	rows := make([]UserMixRow, 0, len(c.Users))
 	for _, u := range c.Users {

@@ -64,7 +64,7 @@ func naiveWaits(ds *trace.Dataset) WaitResult {
 		if j.WaitFraction() < 2 {
 			gpuUnder2++
 		}
-		c := SizeClass(j.NumGPUs)
+		c := trace.SizeClass(j.NumGPUs)
 		bySize[c] = append(bySize[c], j.WaitSec)
 	}
 	cpuPct := make([]float64, len(cpuJobs))
@@ -308,7 +308,7 @@ func naiveGPUCounts(ds *trace.Dataset) GPUCountResult {
 	for _, j := range jobs {
 		r.FracByCount[j.NumGPUs]++
 		h := j.GPUHours()
-		hours[SizeClass(j.NumGPUs)] += h
+		hours[trace.SizeClass(j.NumGPUs)] += h
 		total += h
 		switch {
 		case j.NumGPUs == 1:

@@ -51,6 +51,7 @@ func TestColumnarMatchesNaive(t *testing.T) {
 // figure rather than the whole report.
 func TestColumnarFigureWrappers(t *testing.T) {
 	ds := equivDataset(t)
+	c := ds.Columns()
 	check := func(name string, want, got any) {
 		t.Helper()
 		ws, gs := fmt.Sprintf("%v", want), fmt.Sprintf("%v", got)
@@ -58,22 +59,22 @@ func TestColumnarFigureWrappers(t *testing.T) {
 			t.Errorf("%s differs\n want %.400s\n  got %.400s", name, ws, gs)
 		}
 	}
-	check("Runtimes", naiveRuntimes(ds), Runtimes(ds))
-	check("Waits", naiveWaits(ds), Waits(ds))
-	check("Utilization", naiveUtilization(ds), Utilization(ds))
-	check("PCIe", naivePCIe(ds), PCIe(ds))
-	check("ByInterface", naiveByInterface(ds), ByInterface(ds))
-	check("Phases", naivePhases(ds), Phases(ds))
-	check("ActiveVariability", naiveActiveVariability(ds), ActiveVariability(ds))
-	check("Bottlenecks", naiveBottlenecks(ds), Bottlenecks(ds))
-	check("Power", naivePower(ds), Power(ds))
-	check("GPUCounts", naiveGPUCounts(ds), GPUCounts(ds))
-	check("MultiGPU", naiveMultiGPU(ds), MultiGPU(ds))
-	check("Lifecycle", naiveLifecycle(ds), Lifecycle(ds))
-	check("UserMix", naiveUserMix(ds), UserMix(ds))
-	check("Concentration", naiveConcentration(ds), Concentration(ds))
-	check("HostCPU", naiveHostCPU(ds), HostCPU(ds))
-	check("AggregateUsers", naiveAggregateUsers(ds), AggregateUsers(ds))
+	check("Runtimes", naiveRuntimes(ds), Runtimes(c))
+	check("Waits", naiveWaits(ds), Waits(c))
+	check("Utilization", naiveUtilization(ds), Utilization(c))
+	check("PCIe", naivePCIe(ds), PCIe(c))
+	check("ByInterface", naiveByInterface(ds), ByInterface(c))
+	check("Phases", naivePhases(ds), Phases(c))
+	check("ActiveVariability", naiveActiveVariability(ds), ActiveVariability(c))
+	check("Bottlenecks", naiveBottlenecks(ds), Bottlenecks(c))
+	check("Power", naivePower(ds), Power(c))
+	check("GPUCounts", naiveGPUCounts(ds), GPUCounts(c))
+	check("MultiGPU", naiveMultiGPU(ds), MultiGPU(c))
+	check("Lifecycle", naiveLifecycle(ds), Lifecycle(c))
+	check("UserMix", naiveUserMix(ds), UserMix(c))
+	check("Concentration", naiveConcentration(ds), Concentration(c))
+	check("HostCPU", naiveHostCPU(ds), HostCPU(c))
+	check("AggregateUsers", naiveAggregateUsers(ds), AggregateUsers(c))
 }
 
 // TestParallelWorkerEquivalence checks that Characterize is bit-identical
@@ -82,10 +83,10 @@ func TestColumnarFigureWrappers(t *testing.T) {
 // the race detector.
 func TestParallelWorkerEquivalence(t *testing.T) {
 	ds := equivDataset(t)
-	want := CharacterizeParallel(ds, 1)
+	want := characterizeCols(ds.Columns(), 1)
 	for _, workers := range []int{2, 8} {
 		diffReports(t, fmt.Sprintf("workers=%d vs serial", workers), want,
-			CharacterizeParallel(ds, workers))
+			characterizeCols(ds.Columns(), workers))
 	}
 	diffReports(t, "workers=default vs serial", want, Characterize(ds))
 }

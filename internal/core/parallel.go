@@ -7,32 +7,32 @@ import (
 	"repro/internal/trace"
 )
 
-// CharacterizeCols runs the complete suite over a pre-built column index,
+// characterizeCols runs the complete suite over a pre-built column index,
 // fanning the figures across workers goroutines (0 means GOMAXPROCS, 1 is
 // fully serial). Each task writes a disjoint set of Report fields and shared
 // inputs are either immutable columns or computed once behind sync.Once, so
 // the assembled Report is bit-identical for every worker count.
-func CharacterizeCols(c *trace.Columns, workers int) *Report {
+func characterizeCols(c *trace.Columns, workers int) *Report {
 	rep := &Report{}
-	users := sync.OnceValue(func() []UserStats { return AggregateUsersCols(c) })
+	users := sync.OnceValue(func() []UserStats { return AggregateUsers(c) })
 	tasks := []func(){
-		func() { rep.Runtimes = RuntimesCols(c) },
-		func() { rep.Waits = WaitsCols(c) },
-		func() { rep.Utilization = UtilizationCols(c) },
-		func() { rep.PCIe = PCIeCols(c) },
-		func() { rep.ByInterface = ByInterfaceCols(c) },
+		func() { rep.Runtimes = Runtimes(c) },
+		func() { rep.Waits = Waits(c) },
+		func() { rep.Utilization = Utilization(c) },
+		func() { rep.PCIe = PCIe(c) },
+		func() { rep.ByInterface = ByInterface(c) },
 		func() { rep.Phases, rep.ActiveCoV = phasesAndActivity(c) },
-		func() { rep.Bottlenecks = BottlenecksCols(c) },
-		func() { rep.Power = PowerCols(c) },
+		func() { rep.Bottlenecks = Bottlenecks(c) },
+		func() { rep.Power = Power(c) },
 		func() { rep.UserAverages = UserAverages(users()) },
 		func() { rep.UserCoV = UserVariability(users()) },
 		func() { rep.UserTrends = UserTrends(users()) },
-		func() { rep.GPUCounts = GPUCountsCols(c) },
-		func() { rep.MultiGPU = MultiGPUCols(c) },
-		func() { rep.Lifecycle = LifecycleCols(c) },
-		func() { rep.UserMix = UserMixCols(c) },
-		func() { rep.Concentration = ConcentrationCols(c) },
-		func() { rep.HostCPUUse = HostCPUCols(c) },
+		func() { rep.GPUCounts = GPUCounts(c) },
+		func() { rep.MultiGPU = MultiGPU(c) },
+		func() { rep.Lifecycle = Lifecycle(c) },
+		func() { rep.UserMix = UserMix(c) },
+		func() { rep.Concentration = Concentration(c) },
+		func() { rep.HostCPUUse = HostCPU(c) },
 	}
 	runTasks(workers, tasks)
 	return rep

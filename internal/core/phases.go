@@ -155,12 +155,9 @@ func (a *phaseAgg) result() PhaseResult {
 	}
 }
 
-// Phases computes Fig. 6 over the dataset's time-series subset.
-func Phases(ds *trace.Dataset) PhaseResult { return PhasesCols(ds.Columns()) }
-
-// PhasesCols computes Fig. 6 by streaming each series through the fused
+// Phases computes Fig. 6 by streaming each series through the fused
 // segmentation accumulator, in sorted-series order.
-func PhasesCols(c *trace.Columns) PhaseResult {
+func Phases(c *trace.Columns) PhaseResult {
 	var a phaseAgg
 	for _, id := range c.SeriesIDs {
 		a.addSeries(c.Series(id))
@@ -221,13 +218,8 @@ func (a *activeAgg) result() ActiveVariabilityResult {
 	}
 }
 
-// ActiveVariability computes Fig. 7a over the time-series subset.
-func ActiveVariability(ds *trace.Dataset) ActiveVariabilityResult {
-	return ActiveVariabilityCols(ds.Columns())
-}
-
-// ActiveVariabilityCols computes Fig. 7a in sorted-series order.
-func ActiveVariabilityCols(c *trace.Columns) ActiveVariabilityResult {
+// ActiveVariability computes Fig. 7a in sorted-series order.
+func ActiveVariability(c *trace.Columns) ActiveVariabilityResult {
 	var a activeAgg
 	for _, id := range c.SeriesIDs {
 		a.addSeries(c.Series(id))
@@ -270,11 +262,8 @@ type BottleneckResult struct {
 	Jobs       int
 }
 
-// Bottlenecks computes Figs. 7b/8.
-func Bottlenecks(ds *trace.Dataset) BottleneckResult { return BottlenecksCols(ds.Columns()) }
-
-// BottlenecksCols computes Figs. 7b/8 over the columnar GPU population.
-func BottlenecksCols(c *trace.Columns) BottleneckResult {
+// Bottlenecks computes Figs. 7b/8 over the columnar GPU population.
+func Bottlenecks(c *trace.Columns) BottleneckResult {
 	jobs := c.GPU
 	r := BottleneckResult{
 		SingleFrac: map[metrics.Metric]float64{},

@@ -125,7 +125,7 @@ func TestCharacterizeInvariantsProperty(t *testing.T) {
 func TestBottleneckConsistencyProperty(t *testing.T) {
 	f := func(raw []byte) bool {
 		ds := randomDataset(raw)
-		r := Bottlenecks(ds)
+		r := Bottlenecks(ds.Columns())
 		for _, v := range r.SingleFrac {
 			if v < 0 || v > 1 {
 				return false

@@ -6,72 +6,25 @@ import (
 	"repro/internal/trace"
 )
 
-// Segmented (streaming) figure entry points. A trace.SegView snapshot
-// stitches per-segment columns into a Columns whose dataset-order vectors
-// are the exact sequences BuildColumns would produce, so every *Cols figure
-// already folds bit-identical results over it. What the *Seg variants add
-// is WHERE the heavy lifting happens: the snapshot's per-segment sorted
-// runs are the partial results, and segPrepare fans their materialization
-// across the bounded worker pool before the figure folds them — merged in
-// segment-index order inside the column, so the answer is bit-identical at
-// any worker count (the per-segment sorts are independent; only the fold
-// order is pinned). Re-running a *Seg figure after more appends costs one
-// tail sort plus the merge: the sealed partials are cached in the segments
-// and never recomputed.
-
-// segPrepare materializes the view's per-segment sorted runs across
-// workers goroutines (0 means GOMAXPROCS). Idempotent: runs already
-// materialized by an earlier query are reused, so the steady-state cost of
-// a fresh snapshot is the tail only. With a single effective worker it does
-// nothing: eager materialization only buys parallelism, and the lazy path
-// sorts exactly the columns the figure touches — strictly less serial work.
-func segPrepare(v *trace.SegView, workers int) {
+// CharacterizeSeg runs the complete suite over a segmented-store snapshot.
+// A snapshot's dataset-order vectors are the exact sequences
+// Dataset.Columns projects, so every figure folds bit-identical results over
+// it; what this entry point adds is WHERE the heavy lifting happens. The
+// snapshot's per-segment sorted runs are the partial results: with more
+// than one worker (0 means GOMAXPROCS) their materialization fans across
+// the bounded pool first, then the figure tasks run. The runs merge in
+// segment-index order inside each column, so the Report is bit-identical to
+// Characterize over a Dataset holding the same job sequence, for any segment
+// size, compaction history, or worker count. Runs materialized by an earlier
+// query are cached in the segments, so a fresh snapshot's steady-state cost
+// is the tail only. With a single worker nothing is fanned: the lazy path
+// sorts exactly the columns a figure touches.
+func CharacterizeSeg(v *trace.SegView, workers int) *Report {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers <= 1 {
-		return
-	}
-	if tasks := v.SortTasks(); len(tasks) > 0 {
+	if tasks := v.SortTasks(); workers > 1 && len(tasks) > 0 {
 		runTasks(workers, tasks)
 	}
-}
-
-// CharacterizeSeg runs the complete suite over a segmented-store snapshot:
-// per-segment sort partials fan across the pool first, then the figure
-// tasks themselves. The Report is bit-identical to Characterize over a
-// Dataset holding the same job sequence, for any segment size, compaction
-// history, or worker count.
-func CharacterizeSeg(v *trace.SegView, workers int) *Report {
-	segPrepare(v, workers)
-	return CharacterizeCols(v.Cols, workers)
-}
-
-// RuntimesSeg is the streaming form of RuntimesCols.
-func RuntimesSeg(v *trace.SegView, workers int) RuntimeResult {
-	segPrepare(v, workers)
-	return RuntimesCols(v.Cols)
-}
-
-// WaitsSeg is the streaming form of WaitsCols.
-func WaitsSeg(v *trace.SegView, workers int) WaitResult {
-	segPrepare(v, workers)
-	return WaitsCols(v.Cols)
-}
-
-// UtilizationSeg is the streaming form of UtilizationCols.
-func UtilizationSeg(v *trace.SegView, workers int) UtilizationResult {
-	segPrepare(v, workers)
-	return UtilizationCols(v.Cols)
-}
-
-// StreamQuery answers one live figure query against a store: snapshot (O(1)
-// when nothing changed since the last query), fan the uncached segment
-// partials, fold. This is simcloudd's query path and the benchmarked
-// incremental hot path — between appends it degenerates to a memoized
-// snapshot plus already-cached sorted runs.
-func StreamQuery[T any](st *trace.SegStore, workers int, fig func(*trace.Columns) T) T {
-	v := st.Snapshot()
-	segPrepare(v, workers)
-	return fig(v.Cols)
+	return characterizeCols(v.Cols, workers)
 }

@@ -68,24 +68,3 @@ func TestCharacterizeSegRandomSchedules(t *testing.T) {
 		}
 	}
 }
-
-// TestSegFigureWrappers checks the per-figure streaming wrappers and the
-// generic StreamQuery path against their batch counterparts.
-func TestSegFigureWrappers(t *testing.T) {
-	ds := equivDataset(t)
-	c := ds.Columns()
-	st := segStoreFrom(ds, trace.SegConfig{SegmentJobs: 101})
-	v := st.Snapshot()
-	check := func(name string, want, got any) {
-		t.Helper()
-		ws, gs := fmt.Sprintf("%v", want), fmt.Sprintf("%v", got)
-		if ws != gs {
-			t.Errorf("%s differs\n want %.400s\n  got %.400s", name, ws, gs)
-		}
-	}
-	check("Runtimes", RuntimesCols(c), RuntimesSeg(v, 3))
-	check("Waits", WaitsCols(c), WaitsSeg(v, 3))
-	check("Utilization", UtilizationCols(c), UtilizationSeg(v, 3))
-	check("StreamQuery/Power", PowerCols(c), StreamQuery(st, 2, PowerCols))
-	check("StreamQuery/Lifecycle", LifecycleCols(c), StreamQuery(st, 2, LifecycleCols))
-}

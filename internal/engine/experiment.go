@@ -130,9 +130,9 @@ func (e Experiment) DatasetReplicator() DatasetReplicator {
 // projection and each sort a single time.
 func Characterize(ds *trace.Dataset, st slurm.Stats) Sample {
 	cols := ds.Columns()
-	w := core.WaitsCols(cols)
-	u := core.UtilizationCols(cols)
-	lc := core.LifecycleCols(cols)
+	w := core.Waits(cols)
+	u := core.Utilization(cols)
+	lc := core.Lifecycle(cols)
 
 	// Sized for every key assigned below: the 8 literals, 5 wait stats,
 	// 4 size classes and 2 per lifecycle category — avoids rehashing the

@@ -7,8 +7,7 @@ import (
 
 // All returns every registered analyzer in stable order: the six
 // syntactic project invariant checks first, then the CFG/dataflow
-// analyzers (PR 10), then the vet-family passes, then the opt-in
-// informational ones.
+// analyzers, then the vet-family passes.
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoWallClock,
@@ -24,7 +23,6 @@ func All() []*Analyzer {
 		CopyLocks,
 		LostCancel,
 		NilnessLite,
-		FieldAlign,
 	}
 }
 

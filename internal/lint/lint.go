@@ -39,7 +39,7 @@ type Analyzer struct {
 	// Doc is the one-line invariant statement shown by `simlint -list`.
 	Doc string
 	// Default reports whether the analyzer runs when no -only filter is
-	// given. Informational analyzers (fieldalign) are opt-in.
+	// given.
 	Default bool
 	// Run performs the check, reporting findings through pass.Reportf.
 	Run func(pass *Pass) error
@@ -62,8 +62,6 @@ type Pass struct {
 	TestFiles []*ast.File
 	Pkg       *types.Package
 	Info      *types.Info
-	// Sizes is the gc/amd64 layout model, used by fieldalign.
-	Sizes types.Sizes
 
 	report func(Diagnostic)
 }
@@ -101,7 +99,6 @@ func Run(pkg *Package, analyzers []*Analyzer, knownNames map[string]bool) ([]Dia
 			TestFiles: pkg.TestFiles,
 			Pkg:       pkg.Types,
 			Info:      pkg.Info,
-			Sizes:     pkg.Sizes,
 			report:    func(d Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {

@@ -24,7 +24,6 @@ type Package struct {
 	TestFiles []*ast.File
 	Types     *types.Package
 	Info      *types.Info
-	Sizes     types.Sizes
 }
 
 // Loader parses and type-checks packages without the go/packages machinery.
@@ -41,7 +40,6 @@ type Loader struct {
 	std      types.ImporterFrom
 	pkgs     map[string]*Package
 	checking map[string]bool
-	sizes    types.Sizes
 }
 
 // NewLoader returns a loader resolving the single module modPath rooted at
@@ -65,9 +63,6 @@ func newLoader(resolve func(string) (string, bool)) *Loader {
 		Resolve:  resolve,
 		pkgs:     make(map[string]*Package),
 		checking: make(map[string]bool),
-		// The layout model the gc compiler uses on the platforms the
-		// benchmarks run on; fieldalign's byte counts assume it.
-		sizes: types.SizesFor("gc", "amd64"),
 	}
 	l.std = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	return l
@@ -147,7 +142,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: l, Sizes: l.sizes}
+	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
@@ -160,7 +155,6 @@ func (l *Loader) Load(path string) (*Package, error) {
 		TestFiles: testFiles,
 		Types:     tpkg,
 		Info:      info,
-		Sizes:     l.sizes,
 	}
 	l.pkgs[path] = p
 	return p, nil

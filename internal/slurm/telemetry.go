@@ -1,8 +1,8 @@
 package slurm
 
 import (
-	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -131,7 +131,7 @@ func WaitBySize(specs []workload.JobSpec, results map[int64]*Result) [4]float64 
 		if res == nil {
 			continue
 		}
-		c := core.SizeClass(sp.NumGPUs)
+		c := trace.SizeClass(sp.NumGPUs)
 		bySize[c] = append(bySize[c], res.WaitSec)
 	}
 	var out [4]float64

@@ -109,7 +109,7 @@ func (c *FloatColumn) Sorted() []float64 {
 // sorted slice; for a segmented-snapshot column it wraps the cached sorted
 // RUNS (sealed prefix + tail) and answers by selection, so a live query
 // never pays the O(n) merge that Sorted() would materialize. This is the
-// read path behind core.StreamQuery and the streaming-ingest benchmark.
+// read path of every live figure query and the streaming-ingest benchmark.
 func (c *FloatColumn) Stats() *stats.RunsView {
 	if c == nil {
 		return stats.NewRunsView()
@@ -138,13 +138,15 @@ func SizeClass(numGPUs int) int {
 // NumSizeClasses is the number of §V job-size classes.
 const NumSizeClasses = 4
 
-// Columns is the columnar projection of a Dataset, built in ONE pass over
-// the jobs: the filtered analysis populations, typed float64/int vectors for
-// every per-job quantity the characterization suite consumes, and grouping
-// indexes by user and submission interface. All vectors follow dataset
-// (submission-log) order, so sequential accumulations over them reproduce
-// the row-walking analyses bit for bit; sorted views are materialized
-// lazily per column and shared by every analysis that needs one.
+// Columns is the columnar projection of a job sequence: the filtered
+// analysis populations, typed float64/int vectors for every per-job quantity
+// the characterization suite consumes, and grouping indexes by user and
+// submission interface. One function builds it, SegStore.projectLocked,
+// whether from a Dataset (Dataset.Columns) or a store snapshot. All vectors
+// follow dataset (submission-log) order, so sequential accumulations over
+// them reproduce the row-walking analyses bit for bit; sorted views are
+// materialized lazily per column and shared by every analysis that needs
+// one.
 type Columns struct {
 	// GPU is the analysis population (GPU jobs running at least
 	// MinGPUJobRunSec); the columns below are aligned with it.
@@ -189,113 +191,6 @@ type Columns struct {
 	DurationDays  float64
 
 	series map[int64]*TimeSeries
-}
-
-// BuildColumns projects d into columns in a single pass over d.Jobs (plus
-// one sort per grouping key set). Prefer Dataset.Columns, which memoizes.
-func BuildColumns(d *Dataset) *Columns {
-	c := &Columns{
-		ByUser:       make(map[int][]int32),
-		DurationDays: d.DurationDays,
-		series:       d.Series,
-	}
-	nGPU := 0
-	for i := range d.Jobs {
-		if j := &d.Jobs[i]; j.IsGPU() && j.RunSec >= MinGPUJobRunSec {
-			nGPU++
-		}
-	}
-	nCPU := 0
-	for i := range d.Jobs {
-		if !d.Jobs[i].IsGPU() {
-			nCPU++
-		}
-	}
-	c.GPU = make([]*JobRecord, 0, nGPU)
-	c.NumGPUs = make([]int, 0, nGPU)
-	runMin := make([]float64, 0, nGPU)
-	waitSec := make([]float64, 0, nGPU)
-	waitPct := make([]float64, 0, nGPU)
-	hours := make([]float64, 0, nGPU)
-	hostCPU := make([]float64, 0, nGPU)
-	var mean, maxv [metrics.NumMetrics][]float64
-	for m := range mean {
-		mean[m] = make([]float64, 0, nGPU)
-		maxv[m] = make([]float64, 0, nGPU)
-	}
-	var bySize [NumSizeClasses][]float64
-	c.CPU = make([]*JobRecord, 0, nCPU)
-	cpuRunMin := make([]float64, 0, nCPU)
-	cpuWaitSec := make([]float64, 0, nCPU)
-	cpuWaitPct := make([]float64, 0, nCPU)
-	cpuHostCPU := make([]float64, 0, nCPU)
-
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		if !j.IsGPU() {
-			c.CPU = append(c.CPU, j)
-			cpuRunMin = append(cpuRunMin, j.RunSec/60)
-			cpuWaitSec = append(cpuWaitSec, j.WaitSec)
-			cpuWaitPct = append(cpuWaitPct, j.WaitFraction())
-			cpuHostCPU = append(cpuHostCPU, j.HostCPU.Mean)
-			continue
-		}
-		if j.RunSec < MinGPUJobRunSec {
-			continue
-		}
-		idx := int32(len(c.GPU))
-		c.GPU = append(c.GPU, j)
-		c.NumGPUs = append(c.NumGPUs, j.NumGPUs)
-		runMin = append(runMin, j.RunSec/60)
-		waitSec = append(waitSec, j.WaitSec)
-		waitPct = append(waitPct, j.WaitFraction())
-		h := j.GPUHours()
-		hours = append(hours, h)
-		c.TotalGPUHours += h
-		hostCPU = append(hostCPU, j.HostCPU.Mean)
-		for m := metrics.Metric(0); m < metrics.NumMetrics; m++ {
-			mean[m] = append(mean[m], j.GPU[m].Mean)
-			maxv[m] = append(maxv[m], j.GPU[m].Max)
-		}
-		bySize[SizeClass(j.NumGPUs)] = append(bySize[SizeClass(j.NumGPUs)], j.WaitSec)
-		if j.NumGPUs >= 2 {
-			c.Multi = append(c.Multi, j)
-		}
-		c.ByUser[j.User] = append(c.ByUser[j.User], idx)
-		if j.Interface >= 0 && j.Interface < NumInterfaces {
-			c.ByIface[j.Interface] = append(c.ByIface[j.Interface], idx)
-		}
-	}
-
-	c.RunMin = NewFloatColumn(runMin)
-	c.WaitSec = NewFloatColumn(waitSec)
-	c.WaitPct = NewFloatColumn(waitPct)
-	c.GPUHours = NewFloatColumn(hours)
-	c.HostCPU = NewFloatColumn(hostCPU)
-	for m := range mean {
-		c.Mean[m] = NewFloatColumn(mean[m])
-		c.Max[m] = NewFloatColumn(maxv[m])
-	}
-	for s := range bySize {
-		c.WaitBySize[s] = NewFloatColumn(bySize[s])
-	}
-	c.CPURunMin = NewFloatColumn(cpuRunMin)
-	c.CPUWaitSec = NewFloatColumn(cpuWaitSec)
-	c.CPUWaitPct = NewFloatColumn(cpuWaitPct)
-	c.CPUHostCPU = NewFloatColumn(cpuHostCPU)
-
-	c.Users = make([]int, 0, len(c.ByUser))
-	for u := range c.ByUser {
-		c.Users = append(c.Users, u)
-	}
-	sort.Ints(c.Users)
-
-	c.SeriesIDs = make([]int64, 0, len(d.Series))
-	for id := range d.Series {
-		c.SeriesIDs = append(c.SeriesIDs, id)
-	}
-	sort.Slice(c.SeriesIDs, func(a, b int) bool { return c.SeriesIDs[a] < c.SeriesIDs[b] })
-	return c
 }
 
 // Series returns the detailed time series of a job, or nil. Iterate

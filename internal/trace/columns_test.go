@@ -172,6 +172,32 @@ func TestColumnsMemoInvalidation(t *testing.T) {
 	}
 }
 
+// TestDatasetColumnsAliasJobs pins the no-copy property of Dataset.Columns:
+// every population pointer is the address of a d.Jobs element, in dataset
+// order — the projection must not route records through the store's arena.
+func TestDatasetColumnsAliasJobs(t *testing.T) {
+	d := columnsFixture()
+	c := d.Columns()
+	for _, pop := range []struct {
+		name string
+		jobs []*JobRecord
+	}{{"GPU", c.GPU}, {"CPU", c.CPU}, {"Multi", c.Multi}} {
+		k := 0
+		for i, jp := range pop.jobs {
+			for k < len(d.Jobs) && jp != &d.Jobs[k] {
+				k++
+			}
+			if k == len(d.Jobs) {
+				t.Fatalf("%s[%d] (job %d) is not &d.Jobs[k] for any later k", pop.name, i, jp.JobID)
+			}
+			k++
+		}
+	}
+	if len(c.GPU) != 3 || len(c.CPU) != 2 || len(c.Multi) != 2 {
+		t.Fatalf("populations GPU %d CPU %d Multi %d, want 3/2/2", len(c.GPU), len(c.CPU), len(c.Multi))
+	}
+}
+
 // TestSizeClass pins the §V size-class mapping.
 func TestSizeClass(t *testing.T) {
 	for _, tc := range []struct{ gpus, want int }{

@@ -37,15 +37,16 @@ type Dataset struct {
 }
 
 // Columns returns the memoized columnar projection of the dataset, building
-// it on first use. Add and AttachSeries invalidate the memo, so the returned
-// index always reflects the current contents; mutating Jobs or Series
-// directly does not (rebuild by calling BuildColumns, or mutate through the
-// methods). Safe for concurrent use.
+// it on first use through the same projection a SegStore applies on append
+// (Columns.GPU and .CPU point into d.Jobs). Add and AttachSeries invalidate
+// the memo, so the returned index always reflects the current contents;
+// mutating Jobs or Series directly does not (mutate through the methods).
+// Safe for concurrent use.
 func (d *Dataset) Columns() *Columns {
 	d.colMu.Lock()
 	defer d.colMu.Unlock()
 	if d.cols == nil {
-		d.cols = BuildColumns(d)
+		d.cols = datasetColumns(d)
 	}
 	return d.cols
 }

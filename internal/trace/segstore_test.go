@@ -1,10 +1,10 @@
 package trace_test
 
-// Property tests for the segmented store. The central invariant is the
-// ISSUE 8 acceptance bar: a SegStore snapshot must be BIT-identical to
-// BuildColumns over the same job sequence — same dataset-order float
-// vectors, same sorted views, same grouping indexes, same accumulated
-// totals — for ANY seal/compaction schedule. The tests compare float
+// Property tests for the segmented store. The central invariant: a SegStore
+// snapshot must be BIT-identical to Dataset.Columns (the same projection
+// through an unsealed store) over the same job sequence — same
+// dataset-order float vectors, same sorted views, same grouping indexes,
+// same accumulated totals — for ANY seal/compaction schedule. The tests compare float
 // payloads through math.Float64bits so an exact-zero-sign or ulp drift
 // fails loudly rather than slipping under an epsilon.
 
@@ -59,7 +59,7 @@ func compareColumn(t *testing.T, name string, want, got *trace.FloatColumn) {
 }
 
 // compareColumns fails unless got (a SegStore snapshot) matches want (a
-// from-scratch BuildColumns) bit-for-bit across every figure input.
+// from-scratch Dataset.Columns) bit-for-bit across every figure input.
 func compareColumns(t *testing.T, want, got *trace.Columns) {
 	t.Helper()
 	if len(want.GPU) != len(got.GPU) || len(want.Multi) != len(got.Multi) || len(want.CPU) != len(got.CPU) {
@@ -121,22 +121,23 @@ func compareColumns(t *testing.T, want, got *trace.Columns) {
 }
 
 // TestSegStoreSnapshotMatchesBuildColumns is the deterministic spine:
-// several fixed segment sizes, full dataset appended, snapshot vs
-// BuildColumns.
+// several fixed segment sizes, full dataset appended, snapshot vs the
+// unsealed projection Dataset.Columns.
 func TestSegStoreSnapshotMatchesBuildColumns(t *testing.T) {
 	ds := segJobs(t, 0.08, 17)
 	for _, segJobsN := range []int{1, 7, 64, 1000, 1 << 20} {
 		t.Run(fmt.Sprintf("segment=%d", segJobsN), func(t *testing.T) {
 			st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: segJobsN})
 			st.AppendDataset(ds)
-			compareColumns(t, trace.BuildColumns(ds), st.Snapshot().Cols)
+			compareColumns(t, ds.Columns(), st.Snapshot().Cols)
 		})
 	}
 }
 
 // TestSegStoreRandomSchedules is the property test proper: randomized
 // interleavings of append / seal / compact / snapshot, with snapshots taken
-// at arbitrary prefixes compared against BuildColumns over the same prefix.
+// at arbitrary prefixes compared against Dataset.Columns over the same
+// prefix.
 // Earlier snapshots are re-checked at the end to prove immutability under
 // later appends and compactions.
 func TestSegStoreRandomSchedules(t *testing.T) {
@@ -192,7 +193,7 @@ func TestSegStoreRandomSchedules(t *testing.T) {
 					prefix.Series = ds.Series
 				}
 				t.Run(fmt.Sprintf("view=%d/jobs=%d", vi, v.nJobs), func(t *testing.T) {
-					compareColumns(t, trace.BuildColumns(prefix), v.view.Cols)
+					compareColumns(t, prefix.Columns(), v.view.Cols)
 				})
 			}
 		})
@@ -217,7 +218,7 @@ func sortedKeys(m map[int64]*trace.TimeSeries) []int64 {
 // worker count), the merged view must still be bit-identical.
 func TestSegStoreSortTasksParallel(t *testing.T) {
 	ds := segJobs(t, 0.05, 29)
-	want := trace.BuildColumns(ds)
+	want := ds.Columns()
 	for _, workers := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 111})
@@ -253,7 +254,7 @@ func TestSegStoreSummary(t *testing.T) {
 	ds := segJobs(t, 0.05, 31)
 	st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 100, MaxSegments: 4})
 	st.AppendDataset(ds)
-	cols := trace.BuildColumns(ds)
+	cols := ds.Columns()
 	sum := st.Summary()
 	if sum.Jobs != len(ds.Jobs) {
 		t.Errorf("Jobs: %d want %d", sum.Jobs, len(ds.Jobs))
@@ -295,7 +296,7 @@ func meanOf(vals []float64) float64 {
 // matches a record that carried its telemetry from the start.
 func TestSegStoreStageTelemetry(t *testing.T) {
 	ds := segJobs(t, 0.02, 37)
-	want := trace.BuildColumns(ds)
+	want := ds.Columns()
 
 	st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 50})
 	for i := range ds.Jobs {
@@ -367,5 +368,5 @@ func TestSegStoreConcurrentAppendQuery(t *testing.T) {
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	compareColumns(t, trace.BuildColumns(ds), st.Snapshot().Cols)
+	compareColumns(t, ds.Columns(), st.Snapshot().Cols)
 }
